@@ -70,6 +70,13 @@ rm -rf "$CAMPAIGN_OUT"
 rm -rf "$CAMPAIGN_OUT-tcp"
 "$CAMPAIGN" run examples/quick_acmin.toml --shards 2 --out-dir "$CAMPAIGN_OUT-tcp" \
   --transport tcp://127.0.0.1:0 --verify
+# The mixed grid over TCP: its 50-90 KB ACmax lines keep the parent's
+# collector ingesting and persisting after a shard has exited, so a watch
+# loop that took that clean exit for a finished (or dead) shard fails here.
+# No respawn is allowed: the run must converge on the first incarnations.
+rm -rf "$CAMPAIGN_OUT-mixed-tcp"
+"$CAMPAIGN" run examples/mixed_grid.toml --shards 2 --out-dir "$CAMPAIGN_OUT-mixed-tcp" \
+  --transport tcp://127.0.0.1:0 --max-respawns 0 --verify
 "$CAMPAIGN" spec examples/quick_acmin.toml > "$CAMPAIGN_OUT/spec-a.json"
 "$CAMPAIGN" spec "$CAMPAIGN_OUT/spec-a.json" > "$CAMPAIGN_OUT/spec-b.json"
 diff "$CAMPAIGN_OUT/spec-a.json" "$CAMPAIGN_OUT/spec-b.json"
@@ -134,12 +141,13 @@ if [[ "${1:-}" != "quick" ]]; then
   # churn corpus (the >= 4x speedup assert arms itself only on >= 4 cores;
   # the measured ratio is always reported), learned-vs-analytic dispatch on
   # a simulated mixed grid (the learned makespan must not be worse), and
-  # compaction of the duplicated corpus (> 4x shrink, zero trials lost).
-  # Refreshes BENCH_campaign.json.
+  # compaction of the duplicated corpus (> 4x shrink, zero trials lost), and
+  # sequential preload of >= 64 KB ACmax lines (>= 20 MB/s: a record read
+  # that is quadratic in line length fails it). Refreshes BENCH_campaign.json.
   step "cargo bench -p rowpress-bench --bench perf_campaign (runs, writes BENCH_campaign.json)"
   cargo bench -p rowpress-bench --bench perf_campaign
   for field in preload_lines_per_s preload_speedup_parallel \
-    makespan_ratio_learned_vs_analytic compaction_ratio; do
+    makespan_ratio_learned_vs_analytic compaction_ratio preload_long_line_mb_per_s; do
     if ! grep -q "\"$field\"" BENCH_campaign.json; then
       echo "BENCH_campaign.json is missing \"$field\"" >&2
       exit 1

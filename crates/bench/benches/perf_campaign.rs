@@ -15,6 +15,9 @@
 //!   a list-scheduling makespan no worse than the analytic order's.
 //! * **Compaction** — compacting the duplicated corpus must shrink it by
 //!   more than 4x and preload the identical trial set afterwards.
+//! * **Long-line preload** — a corpus of ACmax records at least
+//!   [`LONG_LINE_BYTES`] long (a mixed grid's longest lines) must preload
+//!   at >= [`LONG_LINE_FLOOR_MB_PER_S`] MB/s on one worker.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rowpress_core::engine::{lookup_module, CostModel, Engine, Measurement, PersistentCache, Plan};
@@ -26,6 +29,14 @@ use std::time::Instant;
 /// How many times the quick-grid cache body is replicated into the preload
 /// corpus — the file a shard respawned this many times would have appended.
 const REPLAYS: usize = 32;
+
+/// The shortest record line admitted to the long-line preload corpus.
+const LONG_LINE_BYTES: usize = 64 * 1024;
+
+/// Sequential preload floor on the long-line corpus, in MB (10^6 bytes) per
+/// second. A string parser that re-validates the rest of its input for each
+/// character reads this corpus at ~2 MB/s; a linear one at ~70 MB/s.
+const LONG_LINE_FLOOR_MB_PER_S: f64 = 20.0;
 
 fn acmin_plan(cfg: &ExperimentConfig) -> Plan {
     Plan::grid(cfg)
@@ -62,6 +73,51 @@ fn preload_seconds(path: &PathBuf, cfg: &ExperimentConfig, workers: usize, expec
         best = best.min(elapsed);
     }
     best
+}
+
+/// Writes the long-line preload corpus to `path` and returns its config,
+/// its distinct trial count and its size in bytes. The lines are real ACmax
+/// records (every flipped cell listed) of the quick preset's most
+/// press-vulnerable modules, kept only when at least [`LONG_LINE_BYTES`]
+/// long and replicated as a respawned shard would append them.
+fn long_line_corpus(path: &PathBuf) -> (ExperimentConfig, usize, usize) {
+    let cfg = ExperimentConfig::quick().with_rows_per_module(4);
+    let modules: Vec<_> = ["S3", "M3", "M6"]
+        .iter()
+        .map(|id| lookup_module(id).expect("inventory module"))
+        .collect();
+    let plan = Plan::grid(&cfg)
+        .modules(&modules)
+        .measurement(Measurement::AcMax {
+            t_aggon: Time::from_ns(36.0),
+        })
+        .build();
+    std::fs::remove_file(path).ok();
+    {
+        let persistent = PersistentCache::open(path, &cfg).expect("create cache");
+        let engine = Engine::new(&cfg).with_persistent_cache(&persistent);
+        engine.run_collect(&plan).expect("ACmax grid");
+    }
+    let text = std::fs::read_to_string(path).expect("read cache");
+    let mut lines = text.lines();
+    let header = lines.next().expect("header");
+    let long: Vec<&str> = lines.filter(|l| l.len() >= LONG_LINE_BYTES).collect();
+    assert!(
+        long.len() >= 8,
+        "the ACmax grid must yield >= 8 lines of >= {LONG_LINE_BYTES} bytes, got {}",
+        long.len()
+    );
+    // Eight replays make a ~6.5 MB corpus: long enough to time, short
+    // enough that even a quadratic parser finishes the gate.
+    let mut corpus = format!("{header}\n");
+    for _ in 0..8 {
+        for line in &long {
+            corpus.push_str(line);
+            corpus.push('\n');
+        }
+    }
+    std::fs::write(path, &corpus).expect("write long-line corpus");
+    (cfg, long.len(), corpus.len())
 }
 
 /// List-scheduling makespan of dispatching `order` onto `workers` workers.
@@ -110,6 +166,12 @@ fn bench_campaign(c: &mut Criterion) {
     let par = preload_seconds(&path, &cfg, parallel_workers, plan.len());
     let preload_lines_per_s = corpus_lines as f64 / seq.max(1e-12);
     let preload_speedup_parallel = seq / par.max(1e-12);
+
+    let long_path = temp_path("campaign-long-lines");
+    let (long_cfg, long_trials, long_bytes) = long_line_corpus(&long_path);
+    let long_seconds = preload_seconds(&long_path, &long_cfg, 1, long_trials);
+    let preload_long_line_mb_per_s = long_bytes as f64 / 1e6 / long_seconds.max(1e-12);
+    std::fs::remove_file(&long_path).ok();
 
     // Learned vs analytic dispatch on a mixed grid whose analytic model
     // misranks the long pole: many retention trials with huge modeled
@@ -184,7 +246,8 @@ fn bench_campaign(c: &mut Criterion) {
         "perf_campaign: preload {corpus_lines} lines at {preload_lines_per_s:.0} lines/s \
          sequential, {preload_speedup_parallel:.2}x with {parallel_workers} workers \
          ({cores} cores), learned/analytic makespan {makespan_ratio:.3}, \
-         compaction {compaction_ratio:.1}x",
+         compaction {compaction_ratio:.1}x, long-line preload \
+         {preload_long_line_mb_per_s:.1} MB/s ({long_bytes} bytes)",
     );
     let report = format!(
         "{{\n  \"bench\": \"perf_campaign\",\n  \
@@ -194,7 +257,8 @@ fn bench_campaign(c: &mut Criterion) {
          \"preload_lines_per_s\": {preload_lines_per_s:.0},\n  \
          \"preload_speedup_parallel\": {preload_speedup_parallel:.2},\n  \
          \"makespan_ratio_learned_vs_analytic\": {makespan_ratio:.3},\n  \
-         \"compaction_ratio\": {compaction_ratio:.1}\n}}\n",
+         \"compaction_ratio\": {compaction_ratio:.1},\n  \
+         \"preload_long_line_mb_per_s\": {preload_long_line_mb_per_s:.1}\n}}\n",
     );
     std::fs::write(report_path(), report).expect("write BENCH_campaign.json");
 
@@ -206,6 +270,11 @@ fn bench_campaign(c: &mut Criterion) {
         compaction_ratio > 4.0,
         "compacting a {REPLAYS}x-duplicated corpus must shrink it > 4x, \
          got {compaction_ratio:.1}x"
+    );
+    assert!(
+        preload_long_line_mb_per_s >= LONG_LINE_FLOOR_MB_PER_S,
+        "long-line preload must reach {LONG_LINE_FLOOR_MB_PER_S} MB/s, \
+         got {preload_long_line_mb_per_s:.1} MB/s"
     );
     if cores >= 4 {
         assert!(

@@ -275,22 +275,26 @@ pub fn run(args: &ShardArgs) -> i32 {
     // the stall timeout. Beat through the startup window so a healthy
     // preload is never killed as a straggler; real stall detection begins
     // once trials run.
-    let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // The thread waits on the channel between beats, so `start` (or an
+    // early exit) ends it at once and the join below never waits out a
+    // beat interval.
+    let (started, boot_wait) = std::sync::mpsc::channel::<()>();
     let boot = {
-        let started = Arc::clone(&started);
         let emitter = emitter.clone();
         let index = args.index;
-        std::thread::spawn(move || {
-            while !started.load(std::sync::atomic::Ordering::Relaxed) {
-                emitter.emit(format_args!("{PROTOCOL_PREFIX} boot index={index}"));
-                std::thread::sleep(Duration::from_millis(300));
+        std::thread::spawn(move || loop {
+            emitter.emit(format_args!("{PROTOCOL_PREFIX} boot index={index}"));
+            if boot_wait.recv_timeout(Duration::from_millis(300))
+                != Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+            {
+                break;
             }
         })
     };
     let spec = match CampaignSpec::from_path(&args.spec) {
         Ok(spec) => spec,
         Err(e) => {
-            started.store(true, std::sync::atomic::Ordering::Relaxed);
+            let _ = started.send(());
             let _ = boot.join();
             eprintln!("rowpress-campaign shard {}: {e}", args.index);
             return EXIT_SPEC;
@@ -302,7 +306,7 @@ pub fn run(args: &ShardArgs) -> i32 {
     let on_event = move |event: ShardEvent| {
         match event {
             ShardEvent::Started { preloaded, total } => {
-                boot_done.store(true, std::sync::atomic::Ordering::Relaxed);
+                let _ = boot_done.send(());
                 events.emit(format_args!(
                     "{PROTOCOL_PREFIX} start index={} of={} total={total} preloaded={preloaded}",
                     args.index, args.of
@@ -372,7 +376,7 @@ pub fn run(args: &ShardArgs) -> i32 {
         }
         (None, Emitter::Stdout) => unreachable!("ShardArgs::parse requires --out or --connect"),
     };
-    started.store(true, std::sync::atomic::Ordering::Relaxed);
+    let _ = started.send(());
     let _ = boot.join();
     match result {
         Ok(_) => EXIT_OK,

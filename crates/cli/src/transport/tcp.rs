@@ -55,9 +55,34 @@ struct ConnSlot {
     /// Tells the handler thread to stop reading (the incarnation was
     /// killed or superseded).
     dead: AtomicBool,
+    /// Set once the connection handler has returned: the stream is fully
+    /// ingested, and `done`/`fault` are final.
+    closed: AtomicBool,
+}
+
+/// Marks the slot's connection closed when the handler returns, whichever
+/// way it returns.
+struct CloseOnDrop<'a>(&'a ConnSlot);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.closed.store(true, Ordering::Release);
+    }
 }
 
 impl ConnSlot {
+    /// A slot awaiting its incarnation's connection.
+    fn new(expected: Arc<Vec<Trial>>) -> Self {
+        ConnSlot {
+            beat: Mutex::new(None),
+            done: AtomicBool::new(false),
+            fault: Mutex::new(None),
+            collector: Mutex::new(ShardCollector::new(expected)),
+            dead: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+        }
+    }
+
     fn set_fault(&self, message: String) {
         let mut fault = self.fault.lock().expect("fault lock");
         if fault.is_none() {
@@ -183,13 +208,7 @@ impl Transport for TcpAgent {
     }
 
     fn launch(&mut self, index: usize, incarnation: u32) -> Result<Box<dyn ShardHandle>, CliError> {
-        let slot = Arc::new(ConnSlot {
-            beat: Mutex::new(None),
-            done: AtomicBool::new(false),
-            fault: Mutex::new(None),
-            collector: Mutex::new(ShardCollector::new(Arc::clone(&self.expected[index]))),
-            dead: AtomicBool::new(false),
-        });
+        let slot = Arc::new(ConnSlot::new(Arc::clone(&self.expected[index])));
         {
             let mut registry = self.registry.lock().expect("registry lock");
             // Supersede any older incarnation of this shard: its handler
@@ -259,6 +278,14 @@ impl ShardHandle for TcpHandle {
             return Ok(ShardStatus::Exited { clean: false });
         }
         match self.child.try_wait().map_err(CliError::from)? {
+            // A clean exit only means the child has written its stream; the
+            // handler may still be ingesting and persisting it. Until it
+            // returns, `done` is not final, so the shard is still running.
+            // (A child that exits clean without ever connecting stays
+            // `Connecting` and meets the connect timeout.)
+            Some(status) if status.success() && !self.slot.closed.load(Ordering::Acquire) => {
+                Ok(ShardStatus::Running)
+            }
             Some(status) => Ok(ShardStatus::Exited {
                 clean: status.success(),
             }),
@@ -324,6 +351,7 @@ fn handle_connection(
         // A stale incarnation reconnected after being superseded; ignore it.
         return;
     };
+    let _closed = CloseOnDrop(&slot);
     relay(index, &first);
     *slot.beat.lock().expect("beat lock") = Some(Instant::now());
     while let Some(line) = lines.next_line(|| slot.dead.load(Ordering::Relaxed)) {
@@ -413,5 +441,100 @@ impl SlicedLines {
                 Err(_) => return None,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{PROTOCOL_PREFIX, RECORD_FRAME_PREFIX};
+    use rowpress_core::engine::Engine;
+
+    fn records() -> Vec<TrialRecord> {
+        let spec = CampaignSpec::parse(
+            r#"
+            [config]
+            preset = "test"
+            [grid]
+            modules = ["S3"]
+            [[measurement]]
+            kind = "ac_min"
+            t_aggon_ns = [36.0]
+            "#,
+        )
+        .unwrap();
+        Engine::new(&spec.config())
+            .run_collect(&spec.plan().unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn clean_exit_waits_for_the_handler_to_persist_the_stream() {
+        let records = records();
+        let out_dir =
+            std::env::temp_dir().join(format!("rowpress-tcp-exit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out_dir);
+        std::fs::create_dir_all(&out_dir).unwrap();
+        let slot = Arc::new(ConnSlot::new(Arc::new(
+            records.iter().map(|r| r.trial.clone()).collect(),
+        )));
+        let registry: Registry = Arc::new(Mutex::new(HashMap::from([((0, 0), Arc::clone(&slot))])));
+        let finals = vec![Arc::new(Mutex::new(None))];
+
+        // The child's side of the connection: its whole stream, then close.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut wire = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        writeln!(wire, "{PROTOCOL_PREFIX} hello index=0 of=1 incarnation=0").unwrap();
+        let mut frames = JsonlSink::new(Vec::new());
+        for record in &records {
+            frames.accept(record.clone()).unwrap();
+        }
+        for line in String::from_utf8(frames.into_inner()).unwrap().lines() {
+            writeln!(wire, "{RECORD_FRAME_PREFIX} {line}").unwrap();
+        }
+        writeln!(
+            wire,
+            "{PROTOCOL_PREFIX} done total={} computed=0 replayed=0",
+            records.len()
+        )
+        .unwrap();
+        drop(wire);
+
+        // Hold the collector so the handler cannot ingest the first record.
+        let held = slot.collector.lock().unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| handle_connection(server, &registry, &finals, &out_dir));
+            let mut handle = TcpHandle {
+                child: Command::new("true").spawn().unwrap(),
+                launched: Instant::now(),
+                slot: Arc::clone(&slot),
+            };
+            assert!(handle.child.wait().unwrap().success());
+            for _ in 0..3 {
+                assert_eq!(
+                    handle.poll().unwrap(),
+                    ShardStatus::Running,
+                    "a clean exit must not end the shard while its stream is unpersisted"
+                );
+            }
+            assert!(!handle.done());
+
+            drop(held);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let status = loop {
+                match handle.poll().unwrap() {
+                    ShardStatus::Running if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    status => break status,
+                }
+            };
+            assert_eq!(status, ShardStatus::Exited { clean: true });
+            assert!(handle.done(), "a clean finish must be a done one");
+        });
+        assert_eq!(finals[0].lock().unwrap().as_deref(), Some(&records[..]));
+        assert!(shard_output_path(&out_dir, 0).exists());
+        let _ = std::fs::remove_dir_all(&out_dir);
     }
 }

@@ -64,6 +64,7 @@ use std::fs::File;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// The file a shard streams its records to: `shard-NNNN.jsonl` under the
 /// campaign's output directory.
@@ -254,7 +255,7 @@ struct ProgressSink<'a, S: Sink, F: FnMut(ShardEvent)> {
     /// Shared with the beat thread, which only ever takes it between
     /// events; a callback that blocks (a wedged consumer) therefore also
     /// silences the beats, keeping stall detection honest.
-    on_event: &'a std::sync::Mutex<&'a mut F>,
+    on_event: &'a Mutex<&'a mut F>,
 }
 
 impl<S: Sink, F: FnMut(ShardEvent)> Sink for ProgressSink<'_, S, F> {
@@ -407,8 +408,10 @@ pub fn run_shard_on(
     });
     let degraded_flag = AtomicBool::new(false);
     let flushed = {
-        let events = std::sync::Mutex::new(&mut on_event);
-        let stop = AtomicBool::new(false);
+        let events = Mutex::new(&mut on_event);
+        // Raised when the run ends; the beat thread waits on it rather than
+        // sleeping, so teardown never waits out a poll interval.
+        let stop = (Mutex::new(false), Condvar::new());
         let mut sink = ProgressSink {
             inner: record_sink,
             persistent: &mut persistent,
@@ -429,15 +432,26 @@ pub fn run_shard_on(
             // advance; a genuinely wedged shard stops advancing (and a
             // wedged event consumer holds the lock), so beats stop too.
             scope.spawn(|| {
+                let (raised, wake) = &stop;
                 let mut last = (0, 0);
                 let mut polls_since_emit = 0u32;
-                while !stop.load(Ordering::Relaxed) {
-                    // Poll at 100 ms for prompt shutdown, but emit at most
-                    // every 5th poll — the documented <= 2 beats/second.
-                    std::thread::sleep(std::time::Duration::from_millis(100));
+                loop {
+                    // Poll every 100 ms, but emit at most every 5th poll —
+                    // the documented <= 2 beats/second.
+                    let (stopped, _) = wake
+                        .wait_timeout_while(
+                            raised.lock().expect("stop lock"),
+                            std::time::Duration::from_millis(100),
+                            |raised| !*raised,
+                        )
+                        .expect("stop lock");
+                    if *stopped {
+                        break;
+                    }
+                    drop(stopped);
                     polls_since_emit += 1;
                     let now = (counters.misses(), counters.hits());
-                    if now != last && polls_since_emit >= 5 && !stop.load(Ordering::Relaxed) {
+                    if now != last && polls_since_emit >= 5 {
                         last = now;
                         polls_since_emit = 0;
                         (events.lock().expect("event lock"))(ShardEvent::Beat {
@@ -452,7 +466,8 @@ pub fn run_shard_on(
                 }
             });
             let result = engine.run(&shard, &mut sink);
-            stop.store(true, Ordering::Relaxed);
+            *stop.0.lock().expect("stop lock") = true;
+            stop.1.notify_all();
             result
         })?;
         sink.flushed

@@ -567,6 +567,51 @@ mod tests {
     }
 
     #[test]
+    fn a_92_kb_acmax_line_round_trips_through_sink_and_reader() {
+        use rowpress_dram::{BankId, Bitflip, CellAddr, ColumnId, FlipMechanism, RowId};
+        let cfg = cfg();
+        let trial = all_variant_plan(&cfg).trials()[1].clone();
+        // The long lines of a mixed grid are ACmax records listing every
+        // flipped cell; about 1 000 flips make a ~92 KB line.
+        let flips = (0..1_000u32)
+            .map(|i| Bitflip {
+                addr: CellAddr {
+                    bank: BankId(1),
+                    row: RowId(511 + 2 * (i % 2)),
+                    column: ColumnId(i * 7),
+                },
+                from: i % 3 != 0,
+                to: i % 3 == 0,
+                mechanism: if i % 5 == 0 {
+                    FlipMechanism::Press
+                } else {
+                    FlipMechanism::Hammer
+                },
+            })
+            .collect();
+        let record = TrialRecord {
+            trial,
+            outcome: TrialOutcome::AcMax {
+                ac: 1_176_470,
+                flips,
+            },
+            wall_us: None,
+        };
+        let mut sink = JsonlSink::new(Vec::new());
+        sink.accept(record.clone()).unwrap();
+        let bytes = sink.into_inner();
+        assert!(
+            (88_000..96_000).contains(&bytes.len()),
+            "line is {} bytes",
+            bytes.len()
+        );
+        let back = JsonlReader::new(BufReader::new(&bytes[..]))
+            .read_all()
+            .unwrap();
+        assert_eq!(back, vec![record]);
+    }
+
+    #[test]
     fn jsonl_reader_skips_blank_lines_and_reports_parse_errors() {
         let text = "\n  \n";
         let none = JsonlReader::new(BufReader::new(text.as_bytes()))
